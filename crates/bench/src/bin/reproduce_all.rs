@@ -151,7 +151,14 @@ fn main() {
             eprintln!("--inject-panic requires a substring argument");
             std::process::exit(2);
         }
-        adacomm_bench::supervisor::inject_panics(substr, u32::MAX);
+        if !cfg!(feature = "failpoints") {
+            eprintln!(
+                "--inject-panic requires the `failpoints` feature (this binary was built \
+                 with --no-default-features); rebuild with default features"
+            );
+            std::process::exit(2);
+        }
+        adacomm_bench::failpoint::arm_matching("supervisor.attempt.panic", substr, u32::MAX);
         eprintln!("fault drill: every supervised run matching {substr:?} will panic");
     }
     if scale.is_smoke() {

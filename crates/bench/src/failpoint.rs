@@ -5,11 +5,14 @@
 //!
 //! A failpoint is a *site* in production code (`failpoint::fire("name")`)
 //! plus an optional *arming* (`skip` hits pass through, then `count` hits
-//! trigger). Unarmed sites cost one relaxed atomic load; with the
-//! `failpoints` cargo feature off (it is on by default, like `trace`)
-//! every function in this module is a no-op on nothing, mirroring the
-//! telemetry ZST discipline: a build that never heard of failpoints is
-//! byte-identical in behaviour.
+//! trigger). Sites that know what they are working on fire with a label
+//! (`failpoint::fire_for("name", label)`), and [`arm_matching`] arms such
+//! a site for labels containing a substring only: non-matching hits pass
+//! through without consuming the arming. Unarmed sites cost one relaxed
+//! atomic load; with the `failpoints` cargo feature off (it is on by
+//! default, like `trace`) every function in this module is a no-op on
+//! nothing, mirroring the telemetry ZST discipline: a build that never
+//! heard of failpoints is byte-identical in behaviour.
 //!
 //! Arming is deterministic — no wall-clock, no RNG. A drill that arms
 //! `store.save.torn=1` gets a torn write on exactly the first save, every
@@ -31,7 +34,7 @@
 //! | `server.journal.io_error` | a journal append fails (the daemon warns and keeps serving) |
 //! | `server.request.abort` | the process aborts as a worker starts executing a run (SIGKILL-equivalent) |
 //! | `server.journal.post_append_abort` | the process aborts right after an accepted request is journaled |
-//! | `supervisor.attempt.panic` | a supervised attempt panics at entry (retried under the policy) |
+//! | `supervisor.attempt.panic` | a supervised attempt panics at entry (retried under the policy); labelled with the run's spec key |
 //!
 //! The table is the contract: [`init_from_env`] rejects names not listed
 //! here, so a typo in a CI job fails fast instead of silently arming
@@ -71,6 +74,8 @@ mod live {
     struct Spec {
         skip: u32,
         count: u32,
+        /// Only hits whose label contains this substring count.
+        filter: Option<String>,
     }
 
     struct State {
@@ -99,10 +104,28 @@ mod live {
     /// pass-through hits. Re-arming an already-armed site replaces the
     /// previous spec.
     pub fn arm_after(name: &str, skip: u32, count: u32) {
+        arm_spec(name, skip, count, None);
+    }
+
+    /// Arms `name` to trigger on its next `count` hits whose label
+    /// contains `substr` (see [`fire_for`]); other hits pass through
+    /// untouched. `u32::MAX` effectively means "always".
+    pub fn arm_matching(name: &str, substr: &str, count: u32) {
+        arm_spec(name, 0, count, Some(substr.to_string()));
+    }
+
+    fn arm_spec(name: &str, skip: u32, count: u32, filter: Option<String>) {
         with_state(|state| {
             let previous = state
                 .armed
-                .insert(name.to_string(), Spec { skip, count })
+                .insert(
+                    name.to_string(),
+                    Spec {
+                        skip,
+                        count,
+                        filter,
+                    },
+                )
                 .map_or(0, |s| s.count);
             // Keep the fast-path total equal to the sum of counts.
             if count > previous {
@@ -125,6 +148,13 @@ mod live {
     /// One production hit on the site `name`. Returns `true` when the
     /// armed spec elects this hit to fail.
     pub fn fire(name: &str) -> bool {
+        fire_for(name, "")
+    }
+
+    /// [`fire`] for a site working on `label`: a spec armed with
+    /// [`arm_matching`] only counts hits whose label contains its
+    /// substring.
+    pub fn fire_for(name: &str, label: &str) -> bool {
         if ARMED_TOTAL.load(Ordering::Relaxed) == 0 {
             return false;
         }
@@ -132,6 +162,13 @@ mod live {
             let Some(spec) = state.armed.get_mut(name) else {
                 return false;
             };
+            if spec
+                .filter
+                .as_deref()
+                .is_some_and(|substr| !label.contains(substr))
+            {
+                return false;
+            }
             if spec.skip > 0 {
                 spec.skip -= 1;
                 return false;
@@ -163,17 +200,24 @@ mod live {
 }
 
 #[cfg(feature = "failpoints")]
-pub use live::{arm_after, armed, disarm_all, fire, take_fired};
+pub use live::{arm_after, arm_matching, armed, disarm_all, fire, fire_for, take_fired};
 
 #[cfg(not(feature = "failpoints"))]
 mod stub {
     /// No-op: the `failpoints` feature is off.
     pub fn arm_after(_name: &str, _skip: u32, _count: u32) {}
     /// No-op: the `failpoints` feature is off.
+    pub fn arm_matching(_name: &str, _substr: &str, _count: u32) {}
+    /// No-op: the `failpoints` feature is off.
     pub fn disarm_all() {}
     /// Always `false`: the `failpoints` feature is off.
     #[inline(always)]
     pub fn fire(_name: &str) -> bool {
+        false
+    }
+    /// Always `false`: the `failpoints` feature is off.
+    #[inline(always)]
+    pub fn fire_for(_name: &str, _label: &str) -> bool {
         false
     }
     /// Always empty: the `failpoints` feature is off.
@@ -188,7 +232,7 @@ mod stub {
 }
 
 #[cfg(not(feature = "failpoints"))]
-pub use stub::{arm_after, armed, disarm_all, fire, take_fired};
+pub use stub::{arm_after, arm_matching, armed, disarm_all, fire, fire_for, take_fired};
 
 /// Arms `name` to trigger on its next `count` hits.
 pub fn arm(name: &str, count: u32) {
@@ -261,17 +305,23 @@ pub fn init_from_spec(raw: &str) -> Result<usize, String> {
     Ok(armed_count)
 }
 
+/// Serializes the unit tests that arm the process-global failpoints, or
+/// hit sites another test may have armed (this module's, the store's and
+/// the supervisor's). Poisoning is ignored: a failed test must not fail
+/// the others.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Failpoint state is process-global; tests in this module serialize.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn unarmed_sites_never_fire() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         assert!(!armed());
         assert!(!fire("store.save.io_error"));
@@ -280,7 +330,7 @@ mod tests {
 
     #[test]
     fn skip_then_count_semantics() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         arm_after("store.save.io_error", 2, 2);
         let hits: Vec<bool> = (0..6).map(|_| fire("store.save.io_error")).collect();
@@ -292,7 +342,7 @@ mod tests {
 
     #[test]
     fn rearming_replaces_and_other_sites_are_untouched() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         arm("store.save.torn", 5);
         arm("store.save.torn", 1);
@@ -304,7 +354,7 @@ mod tests {
 
     #[test]
     fn env_spec_parses_and_rejects_typos() {
-        let _serial = SERIAL.lock().unwrap();
+        let _serial = test_lock();
         disarm_all();
         let n = init_from_spec("store.save.torn=1; store.load.unreadable=2:1").unwrap();
         assert_eq!(n, 2);

@@ -757,7 +757,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ResponseBody {
         JobKind::Run { spec, forced_panic } => {
             if *forced_panic {
                 // The drill deliberately bypasses the engine: routing it
-                // through `try_trace_for` would poison the engine's
+                // through `try_trace_cancellable` would poison the engine's
                 // failed-key map for a spec other clients legitimately
                 // want. One supervised attempt, zero backoff.
                 let policy = SupervisorPolicy {

@@ -16,15 +16,16 @@
 //! partial-results report instead of aborting (see
 //! `SweepEngine::run_failures`).
 //!
-//! For tests and CI drills, [`inject_panics`] arms a process-global hook
-//! that panics at the start of any supervised execution whose label
-//! contains a given substring — the supervised path is exercised end to
-//! end without planting failure code in the simulator.
+//! For tests and CI drills, the `supervisor.attempt.panic`
+//! [failpoint](crate::failpoint) panics at the start of a supervised
+//! attempt; armed with [`failpoint::arm_matching`](crate::failpoint::arm_matching),
+//! only runs whose label contains a given substring panic — the supervised
+//! path is exercised end to end without planting failure code in the
+//! simulator.
 
 use binio::fnv1a64;
 use rand::{Rng as _, SeedableRng as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Retry/deadline policy for one supervised execution.
@@ -56,40 +57,6 @@ impl Default for SupervisorPolicy {
             seed: 0x05EE_D0FF_A117,
         }
     }
-}
-
-/// Remaining injected panics: `(label substring, remaining count)`.
-/// Process-global so binaries can arm it before the engine (and its pool
-/// threads) exist.
-static INJECTED: Mutex<Vec<(String, u32)>> = Mutex::new(Vec::new());
-
-/// Arms the fault drill: the next `count` supervised executions whose
-/// label contains `substr` panic at the start of the attempt. Counts
-/// accumulate per substring; `u32::MAX` effectively means "always".
-pub fn inject_panics(substr: &str, count: u32) {
-    let mut hooks = INJECTED.lock().expect("injection hook poisoned");
-    if let Some(entry) = hooks.iter_mut().find(|(s, _)| s == substr) {
-        entry.1 = entry.1.saturating_add(count);
-    } else {
-        hooks.push((substr.to_string(), count));
-    }
-}
-
-/// Disarms every injected panic (test isolation).
-pub fn clear_injected_panics() {
-    INJECTED.lock().expect("injection hook poisoned").clear();
-}
-
-/// Consumes one injected panic for `label`, if armed.
-fn consume_injected_panic(label: &str) -> bool {
-    let mut hooks = INJECTED.lock().expect("injection hook poisoned");
-    for (substr, remaining) in hooks.iter_mut() {
-        if *remaining > 0 && label.contains(substr.as_str()) {
-            *remaining = remaining.saturating_sub(1);
-            return true;
-        }
-    }
-    false
 }
 
 /// The deterministic backoff before retry attempt `next_attempt`
@@ -140,11 +107,8 @@ pub fn run_supervised<T>(
         }
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if consume_injected_panic(label) {
+            if crate::failpoint::fire_for("supervisor.attempt.panic", label) {
                 panic!("injected panic (fault drill) in {label}");
-            }
-            if crate::failpoint::fire("supervisor.attempt.panic") {
-                panic!("injected panic (failpoint) in {label}");
             }
             f()
         }));
@@ -180,6 +144,8 @@ pub fn run_supervised<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "failpoints")]
+    use crate::failpoint;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn fast_policy() -> SupervisorPolicy {
@@ -196,13 +162,15 @@ mod tests {
         assert_eq!(run_supervised(&fast_policy(), "ok-run", || 42), Ok(42));
     }
 
-    // The injection table is process-global and tests run concurrently,
-    // so each test uses a label no other test's substring matches and
-    // never calls `clear_injected_panics` (which would race).
+    // Failpoints are process-global: tests that arm one hold the shared
+    // failpoint test lock.
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn injected_panic_is_recovered_by_retry() {
-        inject_panics("flaky-run-a", 2);
+        let _serial = failpoint::test_lock();
+        failpoint::disarm_all();
+        failpoint::arm_matching("supervisor.attempt.panic", "flaky-run-a", 2);
         let calls = AtomicU32::new(0);
         let result = run_supervised(&fast_policy(), "flaky-run-a", || {
             calls.fetch_add(1, Ordering::SeqCst) + 1
@@ -211,22 +179,24 @@ mod tests {
         // third attempt is the only one that actually runs it.
         assert_eq!(result, Ok(1));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        let hooks = INJECTED.lock().expect("injection hook poisoned");
-        let remaining = hooks
-            .iter()
-            .find(|(s, _)| s == "flaky-run-a")
-            .expect("hook stays registered")
-            .1;
-        assert_eq!(remaining, 0, "both injected panics were consumed");
+        assert_eq!(
+            failpoint::take_fired().len(),
+            2,
+            "both injected panics were consumed"
+        );
+        assert!(!failpoint::armed());
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn exhausted_attempts_fail_terminally() {
-        inject_panics("doomed-run-b", u32::MAX);
+        let _serial = failpoint::test_lock();
+        failpoint::arm_matching("supervisor.attempt.panic", "doomed-run-b", u32::MAX);
         let result: Result<(), String> = run_supervised(&fast_policy(), "doomed-run-b", || ());
+        failpoint::disarm_all();
         let err = result.unwrap_err();
         assert!(err.contains("all 3 attempts"), "{err}");
-        assert!(err.contains("injected panic"), "{err}");
+        assert!(err.contains("injected panic (fault drill)"), "{err}");
     }
 
     #[test]
@@ -272,9 +242,12 @@ mod tests {
         );
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn injection_matches_on_substring_only() {
-        inject_panics("VggLike-drill", 1);
+        let _serial = failpoint::test_lock();
+        failpoint::disarm_all();
+        failpoint::arm_matching("supervisor.attempt.panic", "VggLike-drill", 1);
         assert_eq!(
             run_supervised(&fast_policy(), "scenario ResnetLike-x", || 1),
             Ok(1)
@@ -288,5 +261,6 @@ mod tests {
             || 1,
         );
         assert!(r.is_err());
+        assert!(!failpoint::armed());
     }
 }

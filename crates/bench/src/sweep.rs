@@ -35,7 +35,7 @@ use gradcomp::CodecSpec;
 use nn::models;
 use pasgd_sim::{
     AveragingStrategy, ClusterConfig, ExperimentConfig, ExperimentSuite, FaultConfig, MomentumMode,
-    RunCheckpoint, RunOutcome, RunTrace,
+    RunCheckpoint, RunOptions, RunOutcome, RunTrace,
 };
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -536,28 +536,11 @@ impl SweepSpec {
         key
     }
 
-    /// Executes this spec against its built scenario (no caching).
-    fn execute(&self, built: &BuiltScenario) -> RunTrace {
-        let mut scheduler = self.scheduler.build();
-        let lr = self.lr.resolve(built);
-        let budget = self
-            .budget_millis
-            .map(|(t, r)| (t as f64 / 1000.0, r as f64 / 1000.0));
-        built.suite.run_configured(
-            scheduler.as_mut(),
-            &lr,
-            Some(self.momentum),
-            Some(self.gate_lr_on_tau),
-            Some(self.codec),
-            budget,
-            self.fault.is_active().then_some(self.fault),
-        )
-    }
-
-    /// [`SweepSpec::execute`] with resume and a cooperative stop
-    /// predicate (no caching) — the primitive behind the engine's
+    /// Executes this spec against its built scenario (no caching),
+    /// optionally resuming a checkpoint and parking at a round limit or
+    /// when `stop` fires — the primitive behind the engine's supervised,
     /// deadline- and drain-preemptible runs.
-    fn execute_cancellable(
+    fn simulate(
         &self,
         built: &BuiltScenario,
         resume: Option<&RunCheckpoint>,
@@ -566,21 +549,19 @@ impl SweepSpec {
     ) -> Result<RunOutcome, String> {
         let mut scheduler = self.scheduler.build();
         let lr = self.lr.resolve(built);
-        let budget = self
-            .budget_millis
-            .map(|(t, r)| (t as f64 / 1000.0, r as f64 / 1000.0));
-        built.suite.run_configured_cancellable(
-            scheduler.as_mut(),
-            &lr,
-            Some(self.momentum),
-            Some(self.gate_lr_on_tau),
-            Some(self.codec),
-            budget,
-            self.fault.is_active().then_some(self.fault),
+        let options = RunOptions {
+            momentum: Some(self.momentum),
+            gate_lr_on_tau: Some(self.gate_lr_on_tau),
+            codec: Some(self.codec),
+            budget: self
+                .budget_millis
+                .map(|(t, r)| (t as f64 / 1000.0, r as f64 / 1000.0)),
+            fault: self.fault.is_active().then_some(self.fault),
             resume,
             stop_after_rounds,
             stop,
-        )
+        };
+        built.suite.run_with(scheduler.as_mut(), &lr, &options)
     }
 }
 
@@ -623,24 +604,6 @@ pub enum CancellableRun {
     /// the store (when one is attached and the park write succeeded) and
     /// a later request for the same key resumes it.
     Cancelled,
-}
-
-/// Aggregate statistics over an engine's distinct executed runs (see
-/// [`SweepEngine::run_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunStats {
-    /// Distinct simulation runs executed (cache size).
-    pub unique_runs: usize,
-    /// Total averaging rounds, summed across runs.
-    pub rounds: u64,
-    /// Total per-worker local steps, summed across runs (each run's final
-    /// iteration count).
-    pub local_steps: u64,
-    /// Total simulated seconds, summed across runs (each run's final
-    /// clock).
-    pub sim_clock_secs: f64,
-    /// Largest per-worker encoded message transmitted in any run.
-    pub peak_payload_bytes: f64,
 }
 
 /// Executes [`SweepSpec`] batches with run-level parallelism, global
@@ -757,12 +720,18 @@ impl SweepEngine {
             .stats
     }
 
-    /// Attributes the first resolution of `key` to a disk hit or a miss;
-    /// a key already attributed (a racing duplicate compute) counts as a
-    /// memory hit like any other repeat request. The same outcomes feed
-    /// the telemetry registry (`sweep.cache.*`), so trace files and
-    /// `--json` reports carry the cache traffic as real metrics.
-    fn note_resolved(&self, key: &str, from_disk: bool) {
+    /// Memoizes `trace` under `key` (first insert wins) and returns the
+    /// cached value, attributing the first resolution of `key` to a disk
+    /// hit or a miss; a key already attributed (a racing duplicate
+    /// compute) counts as a memory hit like any other repeat request. The
+    /// same outcomes feed the telemetry registry (`sweep.cache.*`), so
+    /// trace files and `--json` reports carry the cache traffic as real
+    /// metrics.
+    fn memoize(&self, key: &str, trace: RunTrace, from_disk: bool) -> RunTrace {
+        let trace = {
+            let mut runs = self.runs.lock().expect("run cache poisoned");
+            runs.entry(key.to_string()).or_insert(trace).clone()
+        };
         let mut t = self.traffic.lock().expect("traffic counters poisoned");
         if t.counted.insert(key.to_string()) {
             if from_disk {
@@ -776,6 +745,7 @@ impl SweepEngine {
             t.stats.mem_hits += 1;
             telemetry::counter("sweep.cache.mem_hits").inc();
         }
+        trace
     }
 
     /// Records an out-of-band diagnostic (e.g. a rejected store entry).
@@ -801,30 +771,14 @@ impl SweepEngine {
     /// this engine) execute once; every caller gets a clone of the cached
     /// trace, renamed per its own spec.
     pub fn run(&self, specs: &[SweepSpec]) -> Vec<RunTrace> {
-        telemetry::counter("sweep.batches").inc();
-        telemetry::gauge("sweep.pool_threads").set(rayon::current_num_threads() as i64);
         if self.parallel {
-            // Warm the cache over the batch's *unique* uncached specs (in
-            // first-occurrence order, one pool job each, so heterogeneous
-            // run lengths load-balance); duplicates then assemble from the
-            // cache below instead of blocking a pool thread.
-            let mut seen = std::collections::HashSet::new();
-            let mut unique: Vec<&SweepSpec> = specs
-                .iter()
-                .filter(|spec| seen.insert(spec.key()))
-                .collect();
-            let queue_depth = telemetry::gauge("sweep.queue_depth");
-            queue_depth.add(unique.len() as i64);
-            let _: Vec<()> = unique
-                .par_iter_mut()
-                .with_max_len(1)
-                .map(|spec| {
-                    // Failures are swallowed here and surface when the
-                    // assembly loop below re-requests the failed key.
-                    let _ = self.try_trace_for(spec);
-                    queue_depth.add(-1);
-                })
-                .collect();
+            // Warm the cache over the batch's unique specs concurrently;
+            // the assembly loop below then reads it in spec order. `warm`
+            // counts the batch.
+            self.warm(specs);
+        } else {
+            telemetry::counter("sweep.batches").inc();
+            telemetry::gauge("sweep.pool_threads").set(rayon::current_num_threads() as i64);
         }
         let mut traces: Vec<RunTrace> = specs.iter().map(|spec| self.trace_for(spec)).collect();
         for (trace, spec) in traces.iter_mut().zip(specs) {
@@ -835,26 +789,40 @@ impl SweepEngine {
         traces
     }
 
-    /// Executes one spec, returning a clone of its (possibly cached)
-    /// trace with the scheduler's own name.
+    /// Executes one spec uninterrupted, returning a clone of its
+    /// (possibly cached) trace with the scheduler's own name.
     ///
     /// # Panics
     ///
     /// Panics when the supervised execution fails terminally (see
-    /// [`SweepEngine::try_trace_for`]); a figure body requesting a failed
-    /// run fails with the supervisor's reason, which `reproduce_all`
-    /// reports in its per-figure failure table.
+    /// [`SweepEngine::try_trace_cancellable`]); a figure body requesting a
+    /// failed run fails with the supervisor's reason, which
+    /// `reproduce_all` reports in its per-figure failure table.
     fn trace_for(&self, spec: &SweepSpec) -> RunTrace {
-        match self.try_trace_for(spec) {
-            Ok(trace) => trace,
+        match self.try_trace_cancellable(spec, None) {
+            Ok(CancellableRun::Done { trace, .. }) => trace,
+            Ok(CancellableRun::Cancelled) => unreachable!("no stop predicate was given"),
             Err(reason) => panic!("supervised run failed terminally: {reason}"),
         }
     }
 
-    /// Executes one spec under supervision, returning a clone of its
-    /// (possibly cached) trace — or the terminal failure reason when
-    /// every supervised attempt panicked or the run overran its deadline.
-    /// A failed key is remembered and fails fast on re-request.
+    /// Executes one spec under supervision with cooperative cancellation
+    /// and park/resume through the attached store — the one execution
+    /// path behind batch sweeps (`stop = None`) and the sweep service.
+    ///
+    /// Layers are consulted in order: the failure map (a key whose
+    /// supervised execution failed terminally fails fast with the
+    /// recorded reason), the in-process memoization map, then the
+    /// persistent store. A cold key then checks the store for a *parked*
+    /// mid-run checkpoint — the remainder of a previous deadline- or
+    /// drain-cancelled request — and resumes it bit-identically instead
+    /// of starting over (a checkpoint that fails structural validation is
+    /// discarded with a warning and the run starts fresh). The `stop`
+    /// predicate is polled at round boundaries; when it fires, the
+    /// partial run is parked back to the store and
+    /// [`CancellableRun::Cancelled`] is returned — the request lost, the
+    /// work kept. A completed run is saved to the store and its parked
+    /// remainder, if any, removed.
     ///
     /// The cache is check-compute-insert, never blocking: two threads
     /// racing on the *same* uncached key both compute it (runs are
@@ -869,8 +837,13 @@ impl SweepEngine {
     /// # Errors
     ///
     /// Returns the supervisor's failure reason (panic message or deadline
-    /// report) when the run cannot be produced.
-    pub fn try_trace_for(&self, spec: &SweepSpec) -> Result<RunTrace, String> {
+    /// report) when the run cannot be produced; the key then fails fast
+    /// on re-request.
+    pub fn try_trace_cancellable(
+        &self,
+        spec: &SweepSpec,
+        stop: Option<&(dyn Fn() -> bool + Sync)>,
+    ) -> Result<CancellableRun, String> {
         let key = spec.key();
         if let Some(reason) = self.failed.lock().expect("failure map poisoned").get(&key) {
             return Err(reason.clone());
@@ -879,7 +852,10 @@ impl SweepEngine {
             let mut t = self.traffic.lock().expect("traffic counters poisoned");
             t.stats.mem_hits += 1;
             telemetry::counter("sweep.cache.mem_hits").inc();
-            return Ok(trace.clone());
+            return Ok(CancellableRun::Done {
+                trace: trace.clone(),
+                source: TraceSource::Memory,
+            });
         }
         // Cold in memory: consult the persistent store before simulating.
         // A validated entry is bit-exact (the determinism tests prove the
@@ -905,123 +881,8 @@ impl SweepEngine {
             }
             match outcome {
                 LoadOutcome::Hit(trace) => {
-                    let trace = {
-                        let mut runs = self.runs.lock().expect("run cache poisoned");
-                        runs.entry(key.clone()).or_insert(trace).clone()
-                    };
-                    self.note_resolved(&key, true);
-                    return Ok(trace);
-                }
-                LoadOutcome::Rejected(reason) => {
-                    self.warn(format!(
-                        "run store: rejected entry for a sweep key ({reason}); recomputing"
-                    ));
-                    telemetry::emit(|| telemetry::schema::warning_line("run_store", &reason));
-                    store.evict(&key);
-                    let mut t = self.traffic.lock().expect("traffic counters poisoned");
-                    t.stats.rejects += 1;
-                    telemetry::counter("sweep.cache.rejects").inc();
-                }
-                LoadOutcome::Absent => {}
-            }
-        }
-        let supervised = supervisor::run_supervised(&self.supervisor, &key, || {
-            let built = self.scenario(&spec.scenario);
-            let inflight = telemetry::gauge("sweep.inflight_runs");
-            inflight.add(1);
-            let run_started = std::time::Instant::now();
-            let trace = spec.execute(&built);
-            telemetry::histogram("sweep.run_secs").observe(run_started.elapsed().as_secs_f64());
-            inflight.add(-1);
-            trace
-        });
-        let trace = match supervised {
-            Ok(trace) => trace,
-            Err(reason) => {
-                // A panicked attempt bails out before its `inflight.add(-1)`;
-                // rebalance so the gauge stays truthful for live dashboards.
-                telemetry::gauge("sweep.inflight_runs").set(0);
-                self.warn(format!("run failed under supervision ({reason}): {key}"));
-                self.failed
-                    .lock()
-                    .expect("failure map poisoned")
-                    .insert(key, reason.clone());
-                return Err(reason);
-            }
-        };
-        if let Some(store) = &self.store {
-            if let Err(e) = store.save_with_retry(&key, &trace, 3) {
-                self.warn(format!(
-                    "run store: save failed after retries ({e}); cache stays cold for this key"
-                ));
-            }
-        }
-        let trace = {
-            let mut runs = self.runs.lock().expect("run cache poisoned");
-            runs.entry(key.clone()).or_insert(trace).clone()
-        };
-        self.note_resolved(&key, false);
-        Ok(trace)
-    }
-
-    /// [`SweepEngine::try_trace_for`] with cooperative cancellation and
-    /// park/resume through the attached store — the sweep service's
-    /// execution primitive.
-    ///
-    /// The cache layers are consulted exactly like `try_trace_for`
-    /// (failure map, memory, disk). A cold key then checks the store for
-    /// a *parked* mid-run checkpoint — the remainder of a previous
-    /// deadline- or drain-cancelled request — and resumes it
-    /// bit-identically instead of starting over (a checkpoint that fails
-    /// structural validation is discarded with a warning and the run
-    /// starts fresh). The `stop` predicate is polled at round boundaries;
-    /// when it fires, the partial run is parked back to the store and
-    /// [`CancellableRun::Cancelled`] is returned — the request lost, the
-    /// work kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns the supervisor's failure reason (panic message or deadline
-    /// report) when the run cannot be produced; the key then fails fast
-    /// on re-request, as in `try_trace_for`.
-    pub fn try_trace_cancellable(
-        &self,
-        spec: &SweepSpec,
-        stop: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Result<CancellableRun, String> {
-        let key = spec.key();
-        if let Some(reason) = self.failed.lock().expect("failure map poisoned").get(&key) {
-            return Err(reason.clone());
-        }
-        if let Some(trace) = self.runs.lock().expect("run cache poisoned").get(&key) {
-            let mut t = self.traffic.lock().expect("traffic counters poisoned");
-            t.stats.mem_hits += 1;
-            telemetry::counter("sweep.cache.mem_hits").inc();
-            return Ok(CancellableRun::Done {
-                trace: trace.clone(),
-                source: TraceSource::Memory,
-            });
-        }
-        if let Some(store) = &self.store {
-            let mut outcome = store.load(&key);
-            for _ in 0..2 {
-                match &outcome {
-                    LoadOutcome::Rejected(reason) if reason.starts_with("unreadable entry") => {
-                        telemetry::counter("store.load_retries").inc();
-                        outcome = store.load(&key);
-                    }
-                    _ => break,
-                }
-            }
-            match outcome {
-                LoadOutcome::Hit(trace) => {
-                    let trace = {
-                        let mut runs = self.runs.lock().expect("run cache poisoned");
-                        runs.entry(key.clone()).or_insert(trace).clone()
-                    };
-                    self.note_resolved(&key, true);
                     return Ok(CancellableRun::Done {
-                        trace,
+                        trace: self.memoize(&key, trace, true),
                         source: TraceSource::Disk,
                     });
                 }
@@ -1078,7 +939,7 @@ impl SweepEngine {
                     mine.as_deref()
                 };
                 let limit = park_every.map(|n| resume_ref.map_or(0, |ck| ck.cluster.rounds) + n);
-                match spec.execute_cancellable(&built, resume_ref, limit, stop) {
+                match spec.simulate(&built, resume_ref, limit, stop) {
                     Ok(RunOutcome::Completed(trace)) => {
                         break (RunOutcome::Completed(trace), resumed)
                     }
@@ -1118,7 +979,7 @@ impl SweepEngine {
                              restarting the run uninterrupted"
                         ));
                         break (
-                            spec.execute_cancellable(&built, None, None, stop)
+                            spec.simulate(&built, None, None, stop)
                                 .expect("fresh runs never fail"),
                             false,
                         );
@@ -1156,13 +1017,8 @@ impl SweepEngine {
                     // The run is complete; any parked remainder is obsolete.
                     store.unpark(&key);
                 }
-                let trace = {
-                    let mut runs = self.runs.lock().expect("run cache poisoned");
-                    runs.entry(key.clone()).or_insert(trace).clone()
-                };
-                self.note_resolved(&key, false);
                 Ok(CancellableRun::Done {
-                    trace,
+                    trace: self.memoize(&key, trace, false),
                     source: if resumed {
                         TraceSource::Resumed
                     } else {
@@ -1194,7 +1050,9 @@ impl SweepEngine {
     /// counterpart of [`SweepEngine::run`] that `reproduce_all`'s sweep
     /// wave uses so one poisoned run cannot abort the whole wave. Failed
     /// keys are recorded (see [`SweepEngine::run_failures`]) and fail
-    /// fast when a figure body later requests them.
+    /// fast when a figure body later requests them. Unique specs run in
+    /// first-occurrence order, one pool job each on a parallel engine, so
+    /// heterogeneous run lengths load-balance.
     pub fn warm(&self, specs: &[SweepSpec]) {
         telemetry::counter("sweep.batches").inc();
         telemetry::gauge("sweep.pool_threads").set(rayon::current_num_threads() as i64);
@@ -1205,16 +1063,17 @@ impl SweepEngine {
             .collect();
         let queue_depth = telemetry::gauge("sweep.queue_depth");
         queue_depth.add(unique.len() as i64);
+        let warm_one = |spec: &SweepSpec| {
+            let _ = self.try_trace_cancellable(spec, None);
+            queue_depth.add(-1);
+        };
         if self.parallel {
-            unique.par_iter_mut().with_max_len(1).for_each(|spec| {
-                let _ = self.try_trace_for(spec);
-                queue_depth.add(-1);
-            });
+            unique
+                .par_iter_mut()
+                .with_max_len(1)
+                .for_each(|spec| warm_one(spec));
         } else {
-            unique.iter().for_each(|spec| {
-                let _ = self.try_trace_for(spec);
-                queue_depth.add(-1);
-            });
+            unique.into_iter().for_each(warm_one);
         }
     }
 
@@ -1260,29 +1119,6 @@ impl SweepEngine {
     /// Number of distinct runs executed so far (cache size).
     pub fn unique_runs(&self) -> usize {
         self.runs.lock().expect("run cache poisoned").len()
-    }
-
-    /// Aggregate statistics over every distinct run executed so far —
-    /// what `perf_suite` reports for the in-process reproduction instead
-    /// of placeholder zeros. Covers the engine's memoized runs (the sweep
-    /// wave plus every figure-body request); free-form simulations that
-    /// bypass the engine (e.g. the τ0 grid-search trials) are not
-    /// included.
-    pub fn run_stats(&self) -> RunStats {
-        let runs = self.runs.lock().expect("run cache poisoned");
-        let mut stats = RunStats {
-            unique_runs: runs.len(),
-            ..RunStats::default()
-        };
-        for trace in runs.values() {
-            stats.rounds += trace.rounds;
-            if let Some(last) = trace.points.last() {
-                stats.local_steps += last.iterations;
-                stats.sim_clock_secs += last.clock;
-            }
-            stats.peak_payload_bytes = stats.peak_payload_bytes.max(trace.peak_payload_bytes);
-        }
-        stats
     }
 
     /// Whether this engine executes batches with run-level parallelism.

@@ -6,7 +6,7 @@
 //! store may never panic and never serve a wrong figure.
 
 use adacomm_bench::sweep::{LrSpec, ScenarioSpec, SchedulerSpec, SweepEngine, SweepSpec};
-use adacomm_bench::{LoadOutcome, RunStore};
+use adacomm_bench::{CancellableRun, LoadOutcome, ParkedOutcome, RunStore};
 use pasgd_sim::RunTrace;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -227,4 +227,30 @@ fn direct_store_load_reports_reasons() {
         }
         other => panic!("truncated entry must reject, got {other:?}"),
     }
+}
+
+#[test]
+fn batch_run_resumes_and_clears_a_parked_checkpoint() {
+    // A cancelled service request leaves its partial run parked in the
+    // store. A later batch `run` over the same store must resume it
+    // bit-identically and remove the parked remainder.
+    let dir = store_dir("parked_batch");
+    let s = spec(3);
+    let golden = SweepEngine::with_parallelism(false)
+        .run(std::slice::from_ref(&s))
+        .remove(0);
+
+    let cancelled = engine_on(&dir)
+        .try_trace_cancellable(&s, Some(&|| true))
+        .expect("a cancelled run is not a failure");
+    assert!(matches!(cancelled, CancellableRun::Cancelled));
+    let store = RunStore::new(&dir);
+    assert!(matches!(store.load_parked(&s.key()), ParkedOutcome::Hit(_)));
+
+    let got = engine_on(&dir).run(std::slice::from_ref(&s)).remove(0);
+    assert_eq!(trace_bits(&got), trace_bits(&golden), "resume must match");
+    assert!(
+        matches!(store.load_parked(&s.key()), ParkedOutcome::Absent),
+        "the completed run must remove its parked checkpoint"
+    );
 }

@@ -155,7 +155,9 @@ fn identical_requests_share_one_flight() {
 
     // Pin the worker so the storm's flight stays queued while it forms.
     let mut pin = Client::connect(&path);
-    pin.send(&run_request(1, 600.0, None, false));
+    // ~1 s of compute in an optimized test build: the pin must still be
+    // running when the burst arrives 200 ms later.
+    pin.send(&run_request(1, 3000.0, None, false));
     std::thread::sleep(Duration::from_millis(200));
 
     let mut clients: Vec<Client> = (0..4).map(|_| Client::connect(&path)).collect();
@@ -201,7 +203,9 @@ fn full_queue_sheds_with_overloaded() {
     let path = handle.socket_path().to_path_buf();
 
     let mut pin = Client::connect(&path);
-    pin.send(&run_request(1, 600.0, None, false));
+    // ~1 s of compute in an optimized test build: the pin must still be
+    // running when the burst arrives 200 ms later.
+    pin.send(&run_request(1, 3000.0, None, false));
     std::thread::sleep(Duration::from_millis(200));
 
     let mut burst = Client::connect(&path);

@@ -128,7 +128,8 @@ impl Default for ExperimentConfig {
 /// Drives a [`PasgdCluster`] under a communication scheduler and a
 /// learning-rate schedule, producing a [`RunTrace`].
 ///
-/// This is the top-level API the examples and every figure harness use.
+/// A one-shot wrapper over [`ExperimentSuite::run`] for callers that hold
+/// the pieces of one run rather than a suite.
 ///
 /// # Example
 ///
@@ -162,7 +163,6 @@ impl Default for ExperimentConfig {
 /// assert!(trace.points.len() > 2);
 /// assert!(trace.final_loss() < trace.points[0].train_loss);
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn run_experiment(
     model: Network,
     split: TrainTestSplit,
@@ -172,22 +172,8 @@ pub fn run_experiment(
     lr_schedule: &LrSchedule,
     config: &ExperimentConfig,
 ) -> RunTrace {
-    match run_experiment_resumable(
-        model,
-        split,
-        runtime,
-        cluster_config,
-        scheduler,
-        lr_schedule,
-        config,
-        None,
-        None,
-    )
-    .expect("a fresh run has no checkpoint to reject")
-    {
-        RunOutcome::Completed(trace) => trace,
-        RunOutcome::Checkpointed(_) => unreachable!("no round limit was requested"),
-    }
+    ExperimentSuite::new(model, split, runtime, cluster_config, config.clone())
+        .run(scheduler, lr_schedule)
 }
 
 /// Emits one enriched `"point"` JSONL event to the telemetry sink (if one
@@ -214,92 +200,94 @@ fn emit_point_event(scheduler: &dyn CommSchedule, point: &TracePoint, cluster: &
     });
 }
 
-/// How a resumable experiment run ended.
+/// Evaluates the synchronized model, appends the cluster's current state
+/// to `points` and emits it as a `"point"` event.
+fn record_point(
+    points: &mut Vec<TracePoint>,
+    scheduler: &dyn CommSchedule,
+    cluster: &mut PasgdCluster,
+    tau: usize,
+) {
+    let point = TracePoint {
+        clock: cluster.clock(),
+        iterations: cluster.iterations(),
+        epoch: cluster.epochs(),
+        train_loss: cluster.eval_train_loss(),
+        test_accuracy: cluster.eval_test_accuracy(),
+        tau,
+        lr: cluster.lr(),
+        comm_bytes: cluster.comm_bytes(),
+    };
+    emit_point_event(scheduler, &point, cluster);
+    points.push(point);
+}
+
+/// How an [`ExperimentSuite::run_with`] run ended.
 #[derive(Debug, Clone)]
 pub enum RunOutcome {
     /// The simulated time budget was exhausted; the full trace follows.
     Completed(RunTrace),
-    /// The requested round limit was reached mid-run; the snapshot resumes
-    /// the run bit-identically via the `resume` argument of
-    /// [`run_experiment_resumable`].
+    /// The run parked mid-way (round limit reached or stop predicate
+    /// fired); the snapshot resumes it bit-identically via
+    /// [`RunOptions::resume`].
     Checkpointed(Box<RunCheckpoint>),
 }
 
-/// [`run_experiment`] with mid-run checkpoint/resume.
+/// Per-run overrides and run control for [`ExperimentSuite::run_with`].
 ///
-/// * `resume` — continue from a [`RunCheckpoint`] instead of starting at
-///   `t = 0`. The scheduler is `reset()` and fed the checkpoint's exported
-///   state, the cluster is rebuilt from the same model/data/seed and then
-///   restored, so the continuation is **bit-identical** to the run that
-///   produced the checkpoint. The caller must pass the same model, split,
-///   runtime and configuration as the original run; structural mismatches
-///   are rejected with `Err` (and the run should be recomputed fresh).
-/// * `stop_after_rounds` — return [`RunOutcome::Checkpointed`] once the
-///   cluster has completed this many averaging rounds **in total** (resumed
-///   rounds included), unless the time budget is exhausted first.
-///
-/// Fresh runs (`resume = None`) never return `Err`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_resumable(
-    model: Network,
-    split: TrainTestSplit,
-    runtime: RuntimeModel,
-    cluster_config: ClusterConfig,
-    scheduler: &mut dyn CommSchedule,
-    lr_schedule: &LrSchedule,
-    config: &ExperimentConfig,
-    resume: Option<&RunCheckpoint>,
-    stop_after_rounds: Option<u64>,
-) -> Result<RunOutcome, String> {
-    run_experiment_cancellable(
-        model,
-        split,
-        runtime,
-        cluster_config,
-        scheduler,
-        lr_schedule,
-        config,
-        resume,
-        stop_after_rounds,
-        None,
-    )
+/// Every override left at `None` keeps the suite's configured value, so
+/// `RunOptions::default()` is a fresh, uninterrupted run on the suite's
+/// configuration. A resumed run must pass the same overrides as the run
+/// that produced its checkpoint.
+#[derive(Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Momentum mode override (the momentum figures give τ = 1 plain
+    /// momentum but PASGD block momentum).
+    pub momentum: Option<MomentumMode>,
+    /// Override of the paper's "decay τ to 1 before decaying η" gating
+    /// (Section 4.3.2). It applies to the *adaptive* method; fixed-τ
+    /// baselines decay the learning rate at the scheduled epochs
+    /// unconditionally.
+    pub gate_lr_on_tau: Option<bool>,
+    /// Gradient-compression codec applied to every averaging message.
+    pub codec: Option<CodecSpec>,
+    /// `(total_secs, record_every_secs)` simulated budget and recording
+    /// cadence; both must be positive.
+    pub budget: Option<(f64, f64)>,
+    /// Fault-injection plan and aggregation policy.
+    pub fault: Option<FaultConfig>,
+    /// Continue from a [`RunCheckpoint`] instead of starting at `t = 0`.
+    /// The scheduler is `reset()` and fed the checkpoint's exported
+    /// state, and the cluster is rebuilt from the same model/data/seed
+    /// and then restored, so the continuation is **bit-identical** to the
+    /// run that produced the checkpoint. Structural mismatches are
+    /// rejected with `Err` (and the run should be recomputed fresh).
+    pub resume: Option<&'a RunCheckpoint>,
+    /// Park with [`RunOutcome::Checkpointed`] once the cluster has
+    /// completed this many averaging rounds **in total** (resumed rounds
+    /// included), unless the time budget is exhausted first.
+    pub stop_after_rounds: Option<u64>,
+    /// Cooperative stop predicate, polled at every averaging-round
+    /// boundary (the only points where the cluster state is
+    /// checkpointable). Once it returns `true` while simulated time
+    /// remains, the run parks exactly as if a round limit had been hit,
+    /// so a deadline-cancelled or drain-preempted run loses no work: the
+    /// predicate only decides *when* the run parks, never *what* it
+    /// computes. A run whose final round exhausts the budget completes
+    /// normally even if `stop` fires on the same round.
+    pub stop: Option<&'a (dyn Fn() -> bool + Sync)>,
 }
 
-/// [`run_experiment_resumable`] with a cooperative stop predicate.
-///
-/// `stop` is polled at every averaging-round boundary (the only points
-/// where the cluster state is checkpointable); once it returns `true`
-/// while simulated time remains, the run returns
-/// [`RunOutcome::Checkpointed`] exactly as if a round limit had been hit.
-/// The checkpoint resumes bit-identically, so a deadline-cancelled or
-/// drain-preempted run loses no work — the predicate only decides *when*
-/// the run parks, never *what* it computes. A run whose final round
-/// exhausts the budget completes normally even if `stop` fires on the
-/// same round.
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_cancellable(
-    model: Network,
-    split: TrainTestSplit,
-    runtime: RuntimeModel,
-    cluster_config: ClusterConfig,
+/// The interval driver loop behind every run: consults the scheduler at
+/// each `T0` boundary, applies the learning-rate schedule, records trace
+/// points, and parks at a round boundary when `options` asks it to.
+fn drive(
+    mut cluster: PasgdCluster,
+    config: &ExperimentConfig,
     scheduler: &mut dyn CommSchedule,
     lr_schedule: &LrSchedule,
-    config: &ExperimentConfig,
-    resume: Option<&RunCheckpoint>,
-    stop_after_rounds: Option<u64>,
-    stop: Option<&(dyn Fn() -> bool + Sync)>,
+    options: &RunOptions,
 ) -> Result<RunOutcome, String> {
-    assert!(
-        config.interval_secs > 0.0 && config.total_secs > 0.0,
-        "experiment durations must be positive"
-    );
-    // Root span of a run: its *self* time is the driver-loop and
-    // scheduler overhead left over after the compute/codec/average/eval
-    // phases inside claim theirs.
-    let _run_span = telemetry::span("phase.simulate");
-    telemetry::counter("sim.runs").inc();
-    let mut cluster = PasgdCluster::new(model, split, runtime, cluster_config);
-
     let mut points;
     let mut interval;
     let mut last_loss;
@@ -307,7 +295,7 @@ pub fn run_experiment_cancellable(
     let mut next_record;
     let initial_loss;
     let initial_lr;
-    if let Some(ck) = resume {
+    if let Some(ck) = options.resume {
         cluster.restore(&ck.cluster)?;
         if ck.points.is_empty() {
             return Err("checkpoint records no trace points".to_string());
@@ -403,17 +391,7 @@ pub fn run_experiment_cancellable(
         let _ = cluster.run_round(tau);
 
         if cluster.clock() >= next_record {
-            points.push(TracePoint {
-                clock: cluster.clock(),
-                iterations: cluster.iterations(),
-                epoch: cluster.epochs(),
-                train_loss: cluster.eval_train_loss(),
-                test_accuracy: cluster.eval_test_accuracy(),
-                tau,
-                lr: cluster.lr(),
-                comm_bytes: cluster.comm_bytes(),
-            });
-            emit_point_event(&*scheduler, points.last().expect("just pushed"), &cluster);
+            record_point(&mut points, &*scheduler, &mut cluster, tau);
             while next_record <= cluster.clock() {
                 next_record += config.record_every_secs;
             }
@@ -423,8 +401,10 @@ pub fn run_experiment_cancellable(
         // Round-boundary checkpoint: only while the budget has time left —
         // a run whose last round exhausted the budget completes normally.
         if cluster.clock() < config.total_secs {
-            let limit_hit = stop_after_rounds.is_some_and(|limit| cluster.rounds() >= limit);
-            let cancelled = !limit_hit && stop.is_some_and(|s| s());
+            let limit_hit = options
+                .stop_after_rounds
+                .is_some_and(|limit| cluster.rounds() >= limit);
+            let cancelled = !limit_hit && options.stop.is_some_and(|s| s());
             if cancelled {
                 telemetry::counter("sim.cancelled_runs").inc();
             }
@@ -444,17 +424,7 @@ pub fn run_experiment_cancellable(
         }
     }
     // Always record the terminal state.
-    points.push(TracePoint {
-        clock: cluster.clock(),
-        iterations: cluster.iterations(),
-        epoch: cluster.epochs(),
-        train_loss: cluster.eval_train_loss(),
-        test_accuracy: cluster.eval_test_accuracy(),
-        tau,
-        lr: cluster.lr(),
-        comm_bytes: cluster.comm_bytes(),
-    });
-    emit_point_event(&*scheduler, points.last().expect("just pushed"), &cluster);
+    record_point(&mut points, &*scheduler, &mut cluster, tau);
     let _ = last_loss;
 
     Ok(RunOutcome::Completed(RunTrace {
@@ -470,7 +440,7 @@ pub fn run_experiment_cancellable(
 ///
 /// Each call to [`ExperimentSuite::run`] constructs a fresh cluster from the
 /// same model/data/seed so that methods differ *only* in their scheduler,
-/// learning-rate schedule and momentum mode.
+/// learning-rate schedule and [`RunOptions`].
 pub struct ExperimentSuite {
     model: Network,
     split: TrainTestSplit,
@@ -497,184 +467,75 @@ impl ExperimentSuite {
         }
     }
 
-    /// Runs one method and returns its trace.
+    /// Runs one method fresh and uninterrupted on the suite's
+    /// configuration and returns its trace.
     pub fn run(&self, scheduler: &mut dyn CommSchedule, lr_schedule: &LrSchedule) -> RunTrace {
-        self.run_with_options(scheduler, lr_schedule, None, None)
-    }
-
-    /// Runs one method with an overridden momentum mode (the momentum
-    /// figures give τ = 1 plain momentum but PASGD block momentum).
-    pub fn run_with_momentum(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: MomentumMode,
-    ) -> RunTrace {
-        self.run_with_options(scheduler, lr_schedule, Some(momentum), None)
-    }
-
-    /// Runs one method with a fixed gradient-compression codec applied to
-    /// every averaging message (the compression-sweep harness).
-    pub fn run_with_codec(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        codec: CodecSpec,
-    ) -> RunTrace {
-        let mut cluster_config = self.cluster_config.clone();
-        cluster_config.codec = codec;
-        run_experiment(
-            self.model.clone(),
-            self.split.clone(),
-            self.runtime,
-            cluster_config,
-            scheduler,
-            lr_schedule,
-            &self.experiment_config,
-        )
-    }
-
-    /// Runs one method with optional per-run overrides.
-    ///
-    /// `gate_lr_on_tau` matters because the paper's "decay τ to 1 before
-    /// decaying η" policy (Section 4.3.2) applies to the *adaptive* method;
-    /// fixed-τ baselines decay the learning rate at the scheduled epochs
-    /// unconditionally.
-    pub fn run_with_options(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: Option<MomentumMode>,
-        gate_lr_on_tau: Option<bool>,
-    ) -> RunTrace {
-        self.run_configured(
-            scheduler,
-            lr_schedule,
-            momentum,
-            gate_lr_on_tau,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// The fully-general run entry point: every per-run override in one
-    /// place. `None` keeps the suite's configured value. This is what the
-    /// bench crate's sweep engine calls to execute a declarative
-    /// `SweepSpec`; the narrower `run_*` helpers all delegate here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_configured(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: Option<MomentumMode>,
-        gate_lr_on_tau: Option<bool>,
-        codec: Option<CodecSpec>,
-        budget: Option<(f64, f64)>,
-        fault: Option<FaultConfig>,
-    ) -> RunTrace {
         match self
-            .run_configured_resumable(
-                scheduler,
-                lr_schedule,
-                momentum,
-                gate_lr_on_tau,
-                codec,
-                budget,
-                fault,
-                None,
-                None,
-            )
+            .run_with(scheduler, lr_schedule, &RunOptions::default())
             .expect("a fresh run has no checkpoint to reject")
         {
             RunOutcome::Completed(trace) => trace,
-            RunOutcome::Checkpointed(_) => unreachable!("no round limit was requested"),
+            RunOutcome::Checkpointed(_) => unreachable!("no round limit or stop was requested"),
         }
     }
 
-    /// [`ExperimentSuite::run_configured`] with mid-run checkpoint/resume —
-    /// see [`run_experiment_resumable`] for the `resume` /
-    /// `stop_after_rounds` semantics. A resumed run must pass the same
-    /// overrides as the run that produced the checkpoint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_configured_resumable(
+    /// Runs one method under `options`: per-run overrides of the suite's
+    /// configuration plus resume, round-limit and cooperative-stop
+    /// control (see [`RunOptions`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` only when `options.resume` holds a checkpoint that
+    /// does not match this suite and overrides; fresh runs never fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a budget override or the suite's durations are not
+    /// positive.
+    pub fn run_with(
         &self,
         scheduler: &mut dyn CommSchedule,
         lr_schedule: &LrSchedule,
-        momentum: Option<MomentumMode>,
-        gate_lr_on_tau: Option<bool>,
-        codec: Option<CodecSpec>,
-        budget: Option<(f64, f64)>,
-        fault: Option<FaultConfig>,
-        resume: Option<&RunCheckpoint>,
-        stop_after_rounds: Option<u64>,
-    ) -> Result<RunOutcome, String> {
-        self.run_configured_cancellable(
-            scheduler,
-            lr_schedule,
-            momentum,
-            gate_lr_on_tau,
-            codec,
-            budget,
-            fault,
-            resume,
-            stop_after_rounds,
-            None,
-        )
-    }
-
-    /// [`ExperimentSuite::run_configured_resumable`] with a cooperative
-    /// stop predicate — see [`run_experiment_cancellable`]. This is the
-    /// entry point the sweep service uses for deadline- and
-    /// drain-preemptible runs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_configured_cancellable(
-        &self,
-        scheduler: &mut dyn CommSchedule,
-        lr_schedule: &LrSchedule,
-        momentum: Option<MomentumMode>,
-        gate_lr_on_tau: Option<bool>,
-        codec: Option<CodecSpec>,
-        budget: Option<(f64, f64)>,
-        fault: Option<FaultConfig>,
-        resume: Option<&RunCheckpoint>,
-        stop_after_rounds: Option<u64>,
-        stop: Option<&(dyn Fn() -> bool + Sync)>,
+        options: &RunOptions,
     ) -> Result<RunOutcome, String> {
         let mut cluster_config = self.cluster_config.clone();
-        if let Some(m) = momentum {
+        if let Some(m) = options.momentum {
             cluster_config.momentum = m;
         }
-        if let Some(c) = codec {
+        if let Some(c) = options.codec {
             cluster_config.codec = c;
         }
-        if let Some(f) = fault {
+        if let Some(f) = options.fault {
             cluster_config.fault = f;
         }
-        let mut experiment_config = self.experiment_config.clone();
-        if let Some(g) = gate_lr_on_tau {
-            experiment_config.gate_lr_on_tau = g;
+        let mut config = self.experiment_config.clone();
+        if let Some(g) = options.gate_lr_on_tau {
+            config.gate_lr_on_tau = g;
         }
-        if let Some((total_secs, record_every_secs)) = budget {
+        if let Some((total_secs, record_every_secs)) = options.budget {
             assert!(
                 total_secs > 0.0 && record_every_secs > 0.0,
                 "budget durations must be positive"
             );
-            experiment_config.total_secs = total_secs;
-            experiment_config.record_every_secs = record_every_secs;
+            config.total_secs = total_secs;
+            config.record_every_secs = record_every_secs;
         }
-        run_experiment_cancellable(
+        assert!(
+            config.interval_secs > 0.0 && config.total_secs > 0.0,
+            "experiment durations must be positive"
+        );
+        // Root span of a run: its *self* time is the driver-loop and
+        // scheduler overhead left over after the compute/codec/average/eval
+        // phases inside claim theirs.
+        let _run_span = telemetry::span("phase.simulate");
+        telemetry::counter("sim.runs").inc();
+        let cluster = PasgdCluster::new(
             self.model.clone(),
             self.split.clone(),
             self.runtime,
             cluster_config,
-            scheduler,
-            lr_schedule,
-            &experiment_config,
-            resume,
-            stop_after_rounds,
-            stop,
-        )
+        );
+        drive(cluster, &config, scheduler, lr_schedule, options)
     }
 
     /// The experiment configuration (for reporting).
@@ -691,23 +552,6 @@ impl ExperimentSuite {
     /// full-precision averaging message is priced on.
     pub fn model_param_count(&self) -> usize {
         self.model.param_count()
-    }
-
-    /// Returns the suite with a replaced simulated-time budget and
-    /// recording cadence — the hook the perf harness uses to run smoke
-    /// slices of the canonical scenarios without rebuilding them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either duration is not positive.
-    pub fn with_budget(mut self, total_secs: f64, record_every_secs: f64) -> Self {
-        assert!(
-            total_secs > 0.0 && record_every_secs > 0.0,
-            "budget durations must be positive"
-        );
-        self.experiment_config.total_secs = total_secs;
-        self.experiment_config.record_every_secs = record_every_secs;
-        self
     }
 
     /// Returns the suite with a replaced scheduler-consultation interval
@@ -828,11 +672,16 @@ mod tests {
     fn momentum_override_applies() {
         let suite = quick_suite(6);
         let plain = suite.run(&mut FixedComm::new(4), &adacomm::LrSchedule::constant(0.05));
-        let block = suite.run_with_momentum(
-            &mut FixedComm::new(4),
-            &adacomm::LrSchedule::constant(0.05),
-            MomentumMode::paper_block(),
-        );
+        let options = RunOptions {
+            momentum: Some(MomentumMode::paper_block()),
+            ..RunOptions::default()
+        };
+        let lr = adacomm::LrSchedule::constant(0.05);
+        let Ok(RunOutcome::Completed(block)) =
+            suite.run_with(&mut FixedComm::new(4), &lr, &options)
+        else {
+            panic!("a fresh run without a stop completes");
+        };
         assert_ne!(plain, block, "momentum must change the trajectory");
     }
 
@@ -856,17 +705,13 @@ mod tests {
         let stop = move || polls.fetch_add(1, Ordering::SeqCst) + 1 >= 3;
         let suite = quick_suite(8);
         let outcome = suite
-            .run_configured_cancellable(
+            .run_with(
                 &mut FixedComm::new(4),
                 &lr,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                Some(&stop),
+                &RunOptions {
+                    stop: Some(&stop),
+                    ..RunOptions::default()
+                },
             )
             .expect("fresh run");
         let ck = match outcome {
@@ -876,17 +721,13 @@ mod tests {
         assert!(ck.cluster.clock < 24.0, "parked mid-run");
 
         let resumed = suite
-            .run_configured_cancellable(
+            .run_with(
                 &mut FixedComm::new(4),
                 &lr,
-                None,
-                None,
-                None,
-                None,
-                None,
-                Some(&ck),
-                None,
-                None,
+                &RunOptions {
+                    resume: Some(&ck),
+                    ..RunOptions::default()
+                },
             )
             .expect("checkpoint matches the suite");
         match resumed {
@@ -901,17 +742,13 @@ mod tests {
         let straight = quick_suite(9).run(&mut FixedComm::new(4), &lr);
         let stop = || false;
         let outcome = quick_suite(9)
-            .run_configured_cancellable(
+            .run_with(
                 &mut FixedComm::new(4),
                 &lr,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                Some(&stop),
+                &RunOptions {
+                    stop: Some(&stop),
+                    ..RunOptions::default()
+                },
             )
             .expect("fresh run");
         match outcome {

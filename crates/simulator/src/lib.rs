@@ -16,9 +16,14 @@
 //!
 //! * [`PasgdCluster`] — one averaging round at a time, full control
 //!   (used by the Figure 14 local-vs-synchronized probe);
-//! * [`run_experiment`] / [`ExperimentSuite`] — the paper's interval
-//!   protocol: consult a `CommSchedule` every `T0` seconds, apply a
-//!   learning-rate schedule, record a [`RunTrace`].
+//! * [`ExperimentSuite`] — the paper's interval protocol: consult a
+//!   `CommSchedule` every `T0` seconds, apply a learning-rate schedule,
+//!   record a [`RunTrace`]. [`ExperimentSuite::run`] is a fresh run;
+//!   [`ExperimentSuite::run_with`] takes [`RunOptions`] (momentum, codec,
+//!   budget and fault overrides, plus resume from a [`RunCheckpoint`], a
+//!   round limit and a cooperative stop) and may return a parked
+//!   [`RunOutcome::Checkpointed`]. [`run_experiment`] is the one-shot
+//!   form for callers without a suite.
 //!
 //! Block momentum (Section 5.3.1, eqs. 24–25) is implemented in
 //! [`BlockMomentum`] and selected via [`MomentumMode`].
@@ -68,8 +73,7 @@ mod worker;
 pub use checkpoint::{ClusterCheckpoint, RunCheckpoint, WorkerCheckpoint};
 pub use cluster::{ClusterConfig, PasgdCluster};
 pub use experiment::{
-    run_experiment, run_experiment_cancellable, run_experiment_resumable, ExperimentConfig,
-    ExperimentSuite, RunOutcome, RunTrace, TracePoint,
+    run_experiment, ExperimentConfig, ExperimentSuite, RunOptions, RunOutcome, RunTrace, TracePoint,
 };
 pub use fault::{
     AggregationPolicy, FaultCheckpoint, FaultConfig, FaultSpec, FaultStats, FAULT_SEED_SALT,

@@ -7,8 +7,8 @@ use data::GaussianMixture;
 use delay::{CommModel, DelayDistribution, RuntimeModel};
 use gradcomp::CodecSpec;
 use pasgd_sim::{
-    ClusterConfig, ExperimentConfig, ExperimentSuite, MomentumMode, RunCheckpoint, RunOutcome,
-    RunTrace,
+    ClusterConfig, ExperimentConfig, ExperimentSuite, MomentumMode, RunCheckpoint, RunOptions,
+    RunOutcome, RunTrace,
 };
 
 fn suite(seed: u64, momentum: MomentumMode) -> ExperimentSuite {
@@ -58,37 +58,27 @@ fn assert_resume_is_bit_identical<S, F>(
     F: Fn() -> S,
 {
     let lr = LrSchedule::constant(0.05);
+    let overrides = RunOptions {
+        momentum,
+        codec,
+        fault,
+        ..RunOptions::default()
+    };
     let mut golden_sched = make_scheduler();
-    let golden = match suite
-        .run_configured_resumable(
-            &mut golden_sched,
-            &lr,
-            momentum,
-            None,
-            codec,
-            None,
-            fault,
-            None,
-            None,
-        )
-        .unwrap()
-    {
+    let golden = match suite.run_with(&mut golden_sched, &lr, &overrides).unwrap() {
         RunOutcome::Completed(t) => t,
         RunOutcome::Checkpointed(_) => panic!("no round limit requested"),
     };
 
     let mut interrupted_sched = make_scheduler();
     let ck = match suite
-        .run_configured_resumable(
+        .run_with(
             &mut interrupted_sched,
             &lr,
-            momentum,
-            None,
-            codec,
-            None,
-            fault,
-            None,
-            Some(stop_rounds),
+            &RunOptions {
+                stop_after_rounds: Some(stop_rounds),
+                ..overrides
+            },
         )
         .unwrap()
     {
@@ -112,16 +102,13 @@ fn assert_resume_is_bit_identical<S, F>(
     // A *fresh* scheduler instance: resume imports the exported state.
     let mut resumed_sched = make_scheduler();
     let resumed = match suite
-        .run_configured_resumable(
+        .run_with(
             &mut resumed_sched,
             &lr,
-            momentum,
-            None,
-            codec,
-            None,
-            fault,
-            Some(&decoded),
-            None,
+            &RunOptions {
+                resume: Some(&decoded),
+                ..overrides
+            },
         )
         .unwrap()
     {
@@ -231,7 +218,14 @@ fn corrupted_checkpoint_is_rejected_by_the_driver() {
     let lr = LrSchedule::constant(0.05);
     let mut sched = FixedComm::new(4);
     let ck = match s
-        .run_configured_resumable(&mut sched, &lr, None, None, None, None, None, None, Some(3))
+        .run_with(
+            &mut sched,
+            &lr,
+            &RunOptions {
+                stop_after_rounds: Some(3),
+                ..RunOptions::default()
+            },
+        )
         .unwrap()
     {
         RunOutcome::Checkpointed(ck) => ck,
@@ -244,16 +238,13 @@ fn corrupted_checkpoint_is_rejected_by_the_driver() {
     wrong.cluster.workers.pop();
     let mut sched2 = FixedComm::new(4);
     assert!(s
-        .run_configured_resumable(
+        .run_with(
             &mut sched2,
             &lr,
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(&wrong),
-            None
+            &RunOptions {
+                resume: Some(&wrong),
+                ..RunOptions::default()
+            }
         )
         .is_err());
 
@@ -262,32 +253,26 @@ fn corrupted_checkpoint_is_rejected_by_the_driver() {
     bad_params.cluster.workers[0].params.pop();
     let mut sched3 = FixedComm::new(4);
     assert!(s
-        .run_configured_resumable(
+        .run_with(
             &mut sched3,
             &lr,
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(&bad_params),
-            None
+            &RunOptions {
+                resume: Some(&bad_params),
+                ..RunOptions::default()
+            }
         )
         .is_err());
 
     // The original checkpoint still resumes fine afterwards.
     let mut sched4 = FixedComm::new(4);
     assert!(s
-        .run_configured_resumable(
+        .run_with(
             &mut sched4,
             &lr,
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(&ck),
-            None
+            &RunOptions {
+                resume: Some(&ck),
+                ..RunOptions::default()
+            }
         )
         .is_ok());
 }
